@@ -52,6 +52,7 @@ from .evaluation import (
     resource_usage_table,
     stream_vs_batch,
 )
+from .evaluation.service_load import LOAD_CONFIG_DEFAULTS
 from .graphs import SyndromeSampler, noise_model_by_name, surface_code_decoding_graph
 from .matching import ReferenceDecoder
 from .service import (
@@ -1017,12 +1018,12 @@ def _command_serve_net(args: argparse.Namespace) -> int:
     # Local import: the net tier (asyncio, multiprocessing.shared_memory)
     # should not tax every other CLI command's startup.
     from .service.net import NetServer
-    from .service.net.bench import NET_CONFIG_DEFAULTS, scaling_bench, wire_comparison
+    from .service.net.bench import scaling_bench, wire_comparison
 
     config = (
         ServiceConfig.from_file(args.config)
         if args.config
-        else ServiceConfig(**NET_CONFIG_DEFAULTS)
+        else ServiceConfig(**LOAD_CONFIG_DEFAULTS)
     )
     if args.serve:
         processes = int(args.processes) if args.processes else 2

@@ -205,10 +205,11 @@ def find_knee(points: list[SaturationPoint], threshold: float = 0.10) -> Saturat
     return knee
 
 
-#: Engine-specific :class:`repro.service.ServiceConfig` defaults: load
-#: replays favour smaller batches and a tighter flush deadline than the
-#: service's own defaults (a trace's scenarios rarely fill 32-deep batches).
-_ENGINE_CONFIG_DEFAULTS = {"max_batch_size": 16, "max_wait_seconds": 0.001}
+#: :class:`repro.service.ServiceConfig` sizing of every benchmark replay (the
+#: in-process engine, the network replays, ``repro serve-net``): smaller
+#: batches and a tighter flush deadline than the service's own defaults (a
+#: trace's scenarios rarely fill 32-deep batches).
+LOAD_CONFIG_DEFAULTS = {"max_batch_size": 16, "max_wait_seconds": 0.001}
 
 
 class ServiceLoadEngine:
@@ -257,7 +258,7 @@ class ServiceLoadEngine:
                 raise TypeError(
                     f"fault_plan must be a FaultPlan, got {type(fault_plan).__name__}"
                 )
-            config = ServiceConfig(**{**_ENGINE_CONFIG_DEFAULTS, **sizing})
+            config = ServiceConfig(**{**LOAD_CONFIG_DEFAULTS, **sizing})
         elif not isinstance(config, ServiceConfig):
             raise TypeError(f"config must be a ServiceConfig, got {type(config).__name__}")
         if repeats < 1:

@@ -32,24 +32,21 @@ import time
 from collections import Counter
 
 from ...evaluation.engine import LatencyHistogram
-from ...evaluation.service_load import ServiceLoadResult, evaluate_outcomes
+from ...evaluation.service_load import LOAD_CONFIG_DEFAULTS, ServiceLoadResult, evaluate_outcomes
 from ..config import ServiceConfig
 from ..trace import TraceSpec, generate_trace
 from .client import NetClient
+from .protocol import CODEC_JSON, SUPPORTED_CODECS
 from .server import NetServer
-
-#: Net-replay :class:`~repro.service.ServiceConfig` defaults — mirrors the
-#: in-process engine's (`repro.evaluation.service_load._ENGINE_CONFIG_DEFAULTS`)
-#: so the two paths are compared at identical service sizing.
-NET_CONFIG_DEFAULTS = {"max_batch_size": 16, "max_wait_seconds": 0.001}
 
 #: Worker-process counts the scaling series sweeps by default.
 DEFAULT_PROCESS_COUNTS = (1, 2, 4)
 
 
 def _net_config(config: ServiceConfig | None) -> ServiceConfig:
+    # The in-process engine's sizing, so the two paths compare like for like.
     if config is None:
-        return ServiceConfig(**NET_CONFIG_DEFAULTS)
+        return ServiceConfig(**LOAD_CONFIG_DEFAULTS)
     if not isinstance(config, ServiceConfig):
         raise TypeError(f"config must be a ServiceConfig, got {type(config).__name__}")
     return config
@@ -93,18 +90,27 @@ def replay_network(
     else:
         host, port = server.host, server.port
     try:
-        responses = []
-        started = time.perf_counter()
-        with NetClient(host, port) as client:
-            for _ in range(repeats):
-                responses.extend(
-                    client.decode_many([traced.request for traced in trace.requests])
-                )
-            elapsed = time.perf_counter() - started
-            wire = client.wire_stats()
+        return _replay_passes(host, port, trace, repeats)
     finally:
         if own_server:
             server.stop()
+
+
+def _replay_passes(host, port, trace, repeats: int, codecs=SUPPORTED_CODECS) -> ServiceLoadResult:
+    """Replay ``trace`` ``repeats`` times over one client connection.
+
+    Each pass pipelines the whole trace through ``decode_many`` and drains
+    before the next; the responses are evaluated by the in-process engine's
+    :func:`~repro.evaluation.service_load.evaluate_outcomes`.
+    """
+    requests = [traced.request for traced in trace.requests]
+    responses = []
+    started = time.perf_counter()
+    with NetClient(host, port, codecs=codecs) as client:
+        for _ in range(repeats):
+            responses.extend(client.decode_many(requests))
+        elapsed = time.perf_counter() - started
+        wire = client.wire_stats()
     sequence = list(trace.requests) * repeats
     queue_delay = LatencyHistogram()
     latency = LatencyHistogram()
@@ -164,44 +170,21 @@ def wire_comparison(
     if not config.outcome_cache_bytes:
         config = config.replace(outcome_cache_bytes=8 << 20)
     trace = generate_trace(spec, fault_plan=config.fault_plan)
-    requests = [traced.request for traced in trace.requests]
     server = NetServer(config, processes=processes, prewarm=prewarm_specs(spec))
     host, port = server.start()
     try:
         with NetClient(host, port) as warm:
-            warm.decode_many(requests)
-        sides: dict[str, ServiceLoadResult] = {}
-        for label, codecs in (("v2", None), ("v1", (1,))):
-            kwargs = {} if codecs is None else {"codecs": codecs}
-            responses = []
-            started = time.perf_counter()
-            with NetClient(host, port, **kwargs) as client:
-                for _ in range(repeats):
-                    responses.extend(client.decode_many(requests))
-                elapsed = time.perf_counter() - started
-                wire = client.wire_stats()
-            sequence = list(trace.requests) * repeats
-            result = ServiceLoadResult(
-                requests=len(sequence),
-                completed=sum(1 for r in responses if r.ok),
-                shed=sum(1 for r in responses if r.status == "shed"),
-                errors=0,
-                evaluated=0,
-                elapsed_seconds=elapsed,
-                queue_delay=LatencyHistogram(),
-                latency=LatencyHistogram(),
-                error_responses=sum(1 for r in responses if r.status == "error"),
-                cache_hits=sum(1 for r in responses if r.cached),
-                wire=wire,
-            )
-            evaluate_outcomes(trace, sequence, responses, result)
-            sides[label] = result
+            warm.decode_many([traced.request for traced in trace.requests])
+        sides = {
+            label: _replay_passes(host, port, trace, repeats, codecs)
+            for label, codecs in (("v2", SUPPORTED_CODECS), ("v1", (CODEC_JSON,)))
+        }
     finally:
         server.stop()
     v1_rps = sides["v1"].throughput_rps
     return {
         "processes": processes,
-        "requests": len(requests) * repeats,
+        "requests": len(trace.requests) * repeats,
         "v2": _wire_side(sides["v2"]),
         "v1": _wire_side(sides["v1"]),
         "speedup": sides["v2"].throughput_rps / v1_rps if v1_rps > 0 else 0.0,

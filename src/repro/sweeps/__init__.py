@@ -8,11 +8,11 @@ served from a JSON-lines :class:`ResultStore`, and
 ``BENCH_sweep.json`` performance trajectory consumed by CI.
 """
 
+from ..evaluation.benchdoc import current_commit
 from .bench import (
     BENCH_SCHEMA_VERSION,
     BenchSchemaError,
     bench_document,
-    current_commit,
     validate_bench,
     write_bench,
 )

@@ -68,3 +68,55 @@ def path_graph_builder():
         return builder.build()
 
     return build
+
+
+@pytest.fixture(scope="session")
+def filled_service_bench():
+    """A valid BENCH_service document with every nullable block filled.
+
+    The primary run is faulted and cached; the document also carries the
+    cache off/on comparison, a hostile-mix entry, a saturation ladder with a
+    process-scaling series, and the wire block with its codec comparison
+    (one single-process loopback server per network measurement).
+    """
+    from repro.evaluation import ServiceLoadEngine
+    from repro.service import (
+        FaultPlan,
+        Scenario,
+        ServiceConfig,
+        TraceSpec,
+        cache_comparison_entry,
+        hostile_mix_entry,
+        saturation_entry,
+        service_bench_document,
+        wire_entry,
+    )
+    from repro.service.net.bench import replay_network, scaling_entry, wire_comparison
+
+    trace = TraceSpec(
+        "filled",
+        (
+            Scenario(3, physical_error_rate=0.02, decoder="union-find"),
+            Scenario(3, physical_error_rate=0.03, decoder="micro-blossom"),
+        ),
+        requests=16,
+        seed=5,
+    )
+    plan = FaultPlan(name="filled", seed=3, poison_rate=0.2)
+    config = ServiceConfig(workers=1, max_wait_seconds=0.001, fault_plan=plan)
+    off = ServiceLoadEngine(trace, config=config, repeats=2).run()
+    engine = ServiceLoadEngine(trace, config=config.replace(outcome_cache_bytes=1 << 20), repeats=2)
+    on = engine.run(verify_identity=True)
+    network = replay_network(trace, processes=1)
+    scaling = scaling_entry([1], {1: network})
+    return service_bench_document(
+        trace,
+        on,
+        commit="abc",
+        timestamp="t",
+        cache_comparison=cache_comparison_entry(off, on),
+        fault_plan=plan,
+        hostile_mix=[hostile_mix_entry("filled", trace, plan, on)],
+        saturation=saturation_entry(engine.saturate(client_ladder=(1, 2)), scaling=scaling),
+        wire=wire_entry(network.wire, wire_comparison(trace, processes=1, repeats=1)),
+    )

@@ -51,6 +51,7 @@ from repro.service import (
     DecodeService,
     Scenario,
     ServiceBenchSchemaError,
+    ServiceConfig,
     SessionKey,
     TraceSpec,
     cache_comparison_entry,
@@ -332,7 +333,7 @@ def test_service_serves_repeat_syndromes_from_the_outcome_cache():
     unique = {s.defects: s for s in _sample_syndromes(graph, 40, seed=3)}
     syndromes = list(unique.values())[:6]
     assert len(syndromes) == 6
-    with DecodeService(workers=1, outcome_cache_bytes=1 << 20) as service:
+    with DecodeService(ServiceConfig(workers=1, outcome_cache_bytes=1 << 20)) as service:
         first = [service.submit(DecodeRequest(key, s)).result() for s in syndromes]
         second = [service.submit(DecodeRequest(key, s)).result() for s in syndromes]
     assert all(r.ok and not r.cached for r in first)
@@ -347,7 +348,7 @@ def test_service_serves_repeat_syndromes_from_the_outcome_cache():
 
 
 def test_service_outcome_cache_is_off_by_default():
-    with DecodeService(workers=1) as service:
+    with DecodeService(ServiceConfig(workers=1)) as service:
         snapshot = service.stats_snapshot()
     assert snapshot["outcome_cache"] == {"enabled": False}
     assert snapshot["cache_hits"] == 0

@@ -17,6 +17,7 @@ Covers the layers the service spans:
 
 from __future__ import annotations
 
+import copy
 import json
 from collections import Counter
 
@@ -41,6 +42,7 @@ from repro.service import (
     Scenario,
     ServiceBenchSchemaError,
     ServiceClosedError,
+    ServiceConfig,
     ServiceOverloadedError,
     SessionCache,
     SessionKey,
@@ -209,7 +211,9 @@ class TestDecodeService:
             DecodeRequest(D3_KEY if i % 2 else UF_KEY, syndrome, request_id=i)
             for i, syndrome in enumerate(syndromes)
         ]
-        with DecodeService(workers=3, max_batch_size=5, max_wait_seconds=0.001) as svc:
+        with DecodeService(
+            ServiceConfig(workers=3, max_batch_size=5, max_wait_seconds=0.001)
+        ) as svc:
             responses = svc.decode_many(requests)
         direct = {
             "micro-blossom": get_decoder("micro-blossom", graph),
@@ -227,7 +231,9 @@ class TestDecodeService:
     def test_deadline_flush_serves_partial_batches(self):
         """3 requests with a size bound of 64 can only complete via deadline."""
         _, syndromes = sample_syndromes(D3_CODE, 3)
-        with DecodeService(workers=1, max_batch_size=64, max_wait_seconds=0.005) as service:
+        with DecodeService(
+            ServiceConfig(workers=1, max_batch_size=64, max_wait_seconds=0.005)
+        ) as service:
             responses = service.decode_many(
                 [DecodeRequest(UF_KEY, s) for s in syndromes], timeout=30
             )
@@ -237,7 +243,9 @@ class TestDecodeService:
 
     def test_size_flush_caps_batches(self):
         _, syndromes = sample_syndromes(D3_CODE, 8)
-        with DecodeService(workers=2, max_batch_size=2, max_wait_seconds=5.0) as service:
+        with DecodeService(
+            ServiceConfig(workers=2, max_batch_size=2, max_wait_seconds=5.0)
+        ) as service:
             responses = service.decode_many(
                 [DecodeRequest(UF_KEY, s) for s in syndromes], timeout=30
             )
@@ -247,7 +255,7 @@ class TestDecodeService:
 
     def test_shed_policy_answers_immediately_when_full(self):
         _, syndromes = sample_syndromes(D3_CODE, 3)
-        service = DecodeService(workers=1, queue_capacity=2, overload_policy="shed")
+        service = DecodeService(ServiceConfig(workers=1, queue_capacity=2, overload_policy="shed"))
         futures = [service.submit(DecodeRequest(UF_KEY, s)) for s in syndromes]
         # Not started: the first two fill the queue, the third is shed now.
         shed = futures[2].result(timeout=1)
@@ -260,7 +268,7 @@ class TestDecodeService:
 
     def test_block_policy_raises_on_timeout(self):
         _, syndromes = sample_syndromes(D3_CODE, 3)
-        service = DecodeService(workers=1, queue_capacity=2, overload_policy="block")
+        service = DecodeService(ServiceConfig(workers=1, queue_capacity=2, overload_policy="block"))
         service.submit(DecodeRequest(UF_KEY, syndromes[0]))
         service.submit(DecodeRequest(UF_KEY, syndromes[1]))
         with pytest.raises(ServiceOverloadedError):
@@ -270,7 +278,7 @@ class TestDecodeService:
 
     def test_submit_after_close_raises(self):
         _, syndromes = sample_syndromes(D3_CODE, 1)
-        service = DecodeService(workers=1)
+        service = DecodeService(ServiceConfig(workers=1))
         service.start()
         service.close()
         with pytest.raises(ServiceClosedError):
@@ -278,7 +286,7 @@ class TestDecodeService:
 
     def test_close_without_start_fails_queued_futures(self):
         _, syndromes = sample_syndromes(D3_CODE, 1)
-        service = DecodeService(workers=1)
+        service = DecodeService(ServiceConfig(workers=1))
         future = service.submit(DecodeRequest(UF_KEY, syndromes[0]))
         service.close()
         with pytest.raises(ServiceClosedError):
@@ -286,7 +294,7 @@ class TestDecodeService:
 
     def test_close_drains_admitted_work(self):
         _, syndromes = sample_syndromes(D3_CODE, 6)
-        service = DecodeService(workers=2, max_batch_size=3, max_wait_seconds=10.0)
+        service = DecodeService(ServiceConfig(workers=2, max_batch_size=3, max_wait_seconds=10.0))
         service.start()
         futures = [service.submit(DecodeRequest(UF_KEY, s)) for s in syndromes]
         service.close()  # deadline far away: close must flush the pending batch
@@ -294,7 +302,9 @@ class TestDecodeService:
 
     def test_sessions_reused_across_batches(self):
         _, syndromes = sample_syndromes(D3_CODE, 9)
-        with DecodeService(workers=1, max_batch_size=3, max_wait_seconds=0.001) as service:
+        with DecodeService(
+            ServiceConfig(workers=1, max_batch_size=3, max_wait_seconds=0.001)
+        ) as service:
             service.decode_many([DecodeRequest(UF_KEY, s) for s in syndromes])
         stats = service.sessions.stats
         assert stats.misses == 1
@@ -302,15 +312,15 @@ class TestDecodeService:
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
-            DecodeService(workers=0)
+            DecodeService(ServiceConfig(workers=0))
         with pytest.raises(ValueError):
-            DecodeService(queue_capacity=0)
+            DecodeService(ServiceConfig(queue_capacity=0))
         with pytest.raises(ValueError):
-            DecodeService(overload_policy="drop")
+            DecodeService(ServiceConfig(overload_policy="drop"))
 
     def test_decode_is_submit_plus_wait(self):
         graph, syndromes = sample_syndromes(D3_CODE, 1)
-        with DecodeService(workers=1, max_wait_seconds=0.001) as service:
+        with DecodeService(ServiceConfig(workers=1, max_wait_seconds=0.001)) as service:
             response = service.decode(DecodeRequest(UF_KEY, syndromes[0]), timeout=30)
         expected = get_decoder("union-find", graph).decode_detailed(syndromes[0])
         assert response.outcome.correction_edges(graph) == expected.correction_edges(
@@ -318,7 +328,7 @@ class TestDecodeService:
         )
 
     def test_lifecycle_is_idempotent(self):
-        service = DecodeService(workers=1)
+        service = DecodeService(ServiceConfig(workers=1))
         assert not service.started and not service.closed
         service.start()
         service.start()  # no-op
@@ -338,7 +348,7 @@ class TestDecodeService:
 
         _, syndromes = sample_syndromes(D3_CODE, 2)
         with DecodeService(
-            workers=1, max_wait_seconds=0.001, session_factory=broken_factory
+            ServiceConfig(workers=1, max_wait_seconds=0.001), session_factory=broken_factory
         ) as service:
             futures = [service.submit(DecodeRequest(UF_KEY, s)) for s in syndromes]
             for future in futures:
@@ -365,10 +375,8 @@ class TestDecodeService:
 
         _, syndromes = sample_syndromes(D3_CODE, 3)
         with DecodeService(
-            workers=1,
-            max_wait_seconds=0.001,
+            ServiceConfig(workers=1, max_wait_seconds=0.001, session_build_retries=2),
             session_factory=flaky_factory,
-            session_build_retries=2,
         ) as service:
             responses = service.decode_many([DecodeRequest(UF_KEY, s) for s in syndromes])
         assert all(r.ok for r in responses)
@@ -377,7 +385,7 @@ class TestDecodeService:
 
     def test_stats_snapshot_shape(self):
         _, syndromes = sample_syndromes(D3_CODE, 4)
-        with DecodeService(workers=2, max_wait_seconds=0.001) as service:
+        with DecodeService(ServiceConfig(workers=2, max_wait_seconds=0.001)) as service:
             service.decode_many([DecodeRequest(UF_KEY, s) for s in syndromes])
         snapshot = service.stats_snapshot()
         assert snapshot["submitted"] == snapshot["completed"] == 4
@@ -404,7 +412,7 @@ class TestDecodeService:
     def test_shed_requests_count_as_submitted(self):
         """Regression: a shed request is still offered load — `submitted`
         must include it or `submitted == completed + shed + errors` breaks."""
-        service = DecodeService(workers=1, queue_capacity=1, overload_policy="shed")
+        service = DecodeService(ServiceConfig(workers=1, queue_capacity=1, overload_policy="shed"))
         _, syndromes = sample_syndromes(D3_CODE, 3)
         # White-box: no dispatcher running, so the full-queue condition is
         # deterministic — the first request is admitted, the rest shed.
@@ -422,7 +430,7 @@ class TestDecodeService:
         _, syndromes = sample_syndromes(D3_CODE, 2)
         request = DecodeRequest(UF_KEY, syndromes[0])
         with DecodeService(
-            workers=1, max_wait_seconds=0.001, outcome_cache_bytes=1 << 20
+            ServiceConfig(workers=1, max_wait_seconds=0.001, outcome_cache_bytes=1 << 20)
         ) as service:
             service.decode(request)
             cached = service.decode(request)
@@ -441,11 +449,13 @@ class TestDecodeService:
         requests = [DecodeRequest(UF_KEY, s) for s in syndromes]
         requests.append(DecodeRequest(UF_KEY, syndromes[0]))  # repeat: cacheable
         with DecodeService(
-            workers=2,
-            max_wait_seconds=0.0005,
-            queue_capacity=4,
-            overload_policy=policy,
-            outcome_cache_bytes=cache_bytes,
+            ServiceConfig(
+                workers=2,
+                max_wait_seconds=0.0005,
+                queue_capacity=4,
+                overload_policy=policy,
+                outcome_cache_bytes=cache_bytes,
+            ),
         ) as service:
             responses = [f.result(timeout=30) for f in map(service.submit, requests)]
         stats = service.stats
@@ -466,7 +476,7 @@ class TestServiceStream:
         graph = key.code.build_graph()
         sampler = SyndromeSampler(graph, seed=13)
         shots = [sampler.sample_rounds() for _ in range(5)]
-        with DecodeService(workers=2) as service:
+        with DecodeService(ServiceConfig(workers=2)) as service:
             stream = service.open_stream(key)
             served = [stream.decode_rounds(rounds) for _, rounds in shots]
         direct = get_streaming_decoder(decoder, graph)
@@ -482,7 +492,7 @@ class TestServiceStream:
         key = SessionKey(D3_CODE, "union-find")
         graph = key.code.build_graph()
         _, rounds = SyndromeSampler(graph, seed=3).sample_rounds()
-        with DecodeService(workers=2) as service:
+        with DecodeService(ServiceConfig(workers=2)) as service:
             stream = service.open_stream(key)
             assert stream.begin().result(timeout=30) is None
             costs = [stream.push_round(r).result(timeout=30) for r in rounds]
@@ -499,13 +509,13 @@ class TestServiceStream:
         wrong_layer = next(
             v.index for v in graph.vertices if not v.is_virtual and v.layer == 1
         )
-        with DecodeService(workers=2) as service:
+        with DecodeService(ServiceConfig(workers=2)) as service:
             stream = service.open_stream(key)
             with pytest.raises(ValueError, match="belongs to round"):
                 stream.decode_rounds([[wrong_layer], []], timeout=30)
 
     def test_open_stream_requires_started_service(self):
-        service = DecodeService(workers=1)
+        service = DecodeService(ServiceConfig(workers=1))
         with pytest.raises(ServiceClosedError):
             service.open_stream(D3_KEY)
 
@@ -517,7 +527,7 @@ class TestServiceStream:
         """
         from repro.service.service import ServiceStream
 
-        service = DecodeService(workers=1, queue_capacity=1, overload_policy="shed")
+        service = DecodeService(ServiceConfig(workers=1, queue_capacity=1, overload_policy="shed"))
         stream = ServiceStream(service, UF_KEY)
         service._queue.put_nowait(object())  # fill the bounded queue
         with pytest.raises(ServiceOverloadedError):
@@ -623,6 +633,15 @@ class TestServiceLoadEngine:
 # ---------------------------------------------------------------------------
 # BENCH_service.json
 # ---------------------------------------------------------------------------
+def overcount_cache_hits(document):
+    """``cache_hits > completed`` with the batch accounting still balanced."""
+    extra = document["completed"] + 1 - document["cache_hits"]
+    batched = sum(int(k) * v for k, v in document["batch_size_histogram"].items())
+    assert batched - extra >= 1, "the filled document needs two or more error responses"
+    document["cache_hits"] += extra
+    document["batch_size_histogram"] = {"1": batched - extra}
+
+
 class TestServiceBench:
     @pytest.fixture(scope="class")
     def run(self):
@@ -665,11 +684,29 @@ class TestServiceBench:
             lambda d: d.__setitem__("healthy_digest", ""),
             lambda d: d.__setitem__("hostile_mix", []),
             lambda d: d.__setitem__("shed_rate", -0.1),
+            # One mutation per cross-field rule, each breaking that rule alone.
+            lambda d: d.update(requests=d["requests"] + 1),
+            lambda d: d.update(evaluated=d["completed"] + 1),
+            lambda d: d.update(errors=d["evaluated"] + 1),
+            overcount_cache_hits,
+            lambda d: d["batch_size_histogram"].update({"1000": 1}),
+            lambda d: d["fairness"]["per_scenario"][0].update(shed=10**6),
+            lambda d: d["fairness"].update(min_completion_ratio=0.9, max_completion_ratio=0.5),
+            lambda d: d["hostile_mix"][0].update(shed=10**6),
+            lambda d: d["hostile_mix"][0].update(poisoned_errored=d["requests"] + 1),
+            lambda d: d["hostile_mix"][0].update(
+                min_completion_ratio=0.9, max_completion_ratio=0.5
+            ),
+            lambda d: [d["saturation"][key].reverse() for key in ("client_ladder", "points")],
+            lambda d: d["saturation"]["points"][0].update(clients=10**6),
+            lambda d: d["saturation"]["knee"].update(clients=10**6),
+            lambda d: d["saturation"]["scaling"]["series"][0].update(processes=99),
+            lambda d: d["wire"]["comparison"]["v1"].update(codec=2),
         ],
     )
-    def test_schema_violations_raise(self, run, mutate):
-        spec, result = run
-        document = service_bench_document(spec, result, commit="abc", timestamp="t")
+    def test_schema_violations_raise(self, filled_service_bench, mutate):
+        document = copy.deepcopy(filled_service_bench)
+        validate_service_bench(document)
         mutate(document)
         with pytest.raises(ServiceBenchSchemaError):
             validate_service_bench(document)

@@ -32,6 +32,7 @@ from repro.service import (
     FaultPlan,
     InjectedFault,
     Scenario,
+    ServiceConfig,
     SessionKey,
     TraceSpec,
     generate_trace,
@@ -204,7 +205,9 @@ class TestFaultIsolation:
 
         syndromes = SyndromeSampler(graph, seed=3).sample_batch(4)
         bad = poisoned_syndrome(len(graph.vertices), 0)
-        with DecodeService(workers=1, max_batch_size=8, max_wait_seconds=0.05) as service:
+        with DecodeService(
+            ServiceConfig(workers=1, max_batch_size=8, max_wait_seconds=0.05)
+        ) as service:
             futures = [service.submit(DecodeRequest(UF_KEY, s)) for s in syndromes]
             futures.insert(2, service.submit(DecodeRequest(UF_KEY, bad)))
             responses = [f.result(timeout=30) for f in futures]
@@ -303,7 +306,7 @@ class TestFaultIsolation:
 
         from repro.service import ServiceDrainError
 
-        service = DecodeService(workers=1)
+        service = DecodeService(ServiceConfig(workers=1))
         service.start()
         stuck = threading.Thread(target=time.sleep, args=(5,), daemon=True)
         stuck.start()

@@ -478,6 +478,16 @@ class TestBenchDocument:
             (lambda d: d["points"][0].update(shots_per_second=-1), "< 0"),
             (lambda d: d["points"][0].update(zero_failures=True), "inconsistent"),
             (lambda d: d["spec"].pop("hash"), "spec: missing"),
+            (
+                lambda d: d["points"][0].update(errors=d["points"][0]["shots"] + 1),
+                "errors exceeds shots",
+            ),
+            (
+                lambda d: d["points"][0].update(
+                    errors=0, zero_failures=True, error_rate_upper_bound=0.0
+                ),
+                "positive upper bound",
+            ),
         ],
     )
     def test_schema_violations_are_caught(self, sweep_run, mutate, match):

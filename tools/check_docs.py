@@ -12,7 +12,7 @@ Three checks, all enforced by the ``docs`` CI job (and by
    ```` ```python notest ```` (rendered identically by GitHub).
 2. **Doctests pass.**  The docstring examples of the public API surface
    (``repro.api``, ``repro.stream``, ``repro.sweeps``, ``repro.service``,
-   ``repro.evaluation.service_load``) run under
+   ``repro.evaluation.benchdoc``, ``repro.evaluation.service_load``) run under
    ``ELLIPSIS | NORMALIZE_WHITESPACE``.
 3. **Intra-repo links resolve.**  Every relative markdown link target in the
    checked files must exist (``http(s)``/``mailto`` links and pure anchors
@@ -75,6 +75,7 @@ DOCTEST_MODULES = (
     "repro.service.service",
     "repro.service.trace",
     "repro.service.bench",
+    "repro.evaluation.benchdoc",
     "repro.evaluation.service_load",
 )
 
