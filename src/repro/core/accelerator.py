@@ -58,8 +58,7 @@ class MicroBlossomAccelerator(DualGraphState):
     ) -> None:
         self.enable_prematching = enable_prematching
         self._prematches: dict[int, PreMatch] = {}
-        self._instruction_words: int = 0
-        self._response_reads: int = 0
+        self._prematches_dirty = True
         self._prematched_floor: int = 0
         super().__init__(graph, scale=scale)
 
@@ -69,14 +68,14 @@ class MicroBlossomAccelerator(DualGraphState):
     def reset(self) -> None:
         super().reset()
         self._prematches = {}
+        self._prematches_dirty = True
         # ``prematched_defects`` is a per-shot high-water mark; remember the
         # cumulative value at reset so reused engines report per-shot deltas
         # identical to a freshly-built accelerator.
         self._prematched_floor = self.counters.get(
-            "prematched_defects", getattr(self, "_prematched_floor", 0)
+            "prematched_defects", self._prematched_floor
         )
-        self._instruction_words = getattr(self, "_instruction_words", 0) + 1
-        self.counters["bus_words"] = self.counters.get("bus_words", 0) + 1
+        self.counters["bus_words"] += 1
         _ = reset_word()
 
     def load(self, defects: Iterable[int], layers: Iterable[int] | None = None) -> None:
@@ -128,11 +127,7 @@ class MicroBlossomAccelerator(DualGraphState):
     # ------------------------------------------------------------------
     def _effective_directions(self) -> dict[int, int]:
         directions = dict(self.node_direction)
-        if not self.enable_prematching:
-            self._prematches = {}
-            return directions
-        self._prematches = self._compute_prematches()
-        for prematch in self._prematches.values():
+        for prematch in self._current_prematches().values():
             directions[prematch.defect] = HOLD
             if not prematch.peer_is_boundary:
                 directions[prematch.peer] = HOLD
@@ -142,6 +137,15 @@ class MicroBlossomAccelerator(DualGraphState):
         if self.enable_prematching and node in self._prematches:
             return HOLD
         return self.node_direction.get(node, HOLD)
+
+    def _current_prematches(self) -> dict[int, PreMatch]:
+        """The pre-matches of the current PU state, computed once per state."""
+        if not self.enable_prematching:
+            self._prematches = {}
+        elif self._prematches_dirty:
+            self._prematches = self._compute_prematches()
+            self._prematches_dirty = False
+        return self._prematches
 
     def _prematch_eligible(self, vertex: int) -> bool:
         """A defect may be pre-matched only while it is still an autonomous
@@ -155,85 +159,58 @@ class MicroBlossomAccelerator(DualGraphState):
         )
 
     def _compute_prematches(self) -> dict[int, PreMatch]:
-        covers = self._ensure_covers()
-        graph = self.graph
-        residue = [
-            max((value for value, _touch in cover.values()), default=0)
-            for cover in covers
-        ]
-        tight = [False] * graph.num_edges
-        tight_count = [0] * graph.num_vertices
-        for edge in graph.edges:
-            if residue[edge.u] + residue[edge.v] >= self._edge_weight[edge.index]:
-                tight[edge.index] = True
-                tight_count[edge.u] += 1
-                tight_count[edge.v] += 1
+        """Equations 1–3 on the tight edges of eligible defects.
 
+        Every pre-match has an eligible defect as an endpoint, so only the
+        tight edges incident to one are visited, in ascending index order;
+        tightness is evaluated lazily around them.
+        """
+        covers, graph = self._ensure_covers(), self.graph
+        tight: dict[int, bool] = {}
+
+        def is_tight(edge_index: int) -> bool:
+            """The Residues of the two endpoints cover the edge."""
+            if edge_index not in tight:
+                edge = graph.edges[edge_index]
+                residue = sum(max(covers[v].values())[0] for v in (edge.u, edge.v) if covers[v])
+                tight[edge_index] = residue >= self._edge_weight[edge_index]
+            return tight[edge_index]
+
+        def tight_count(vertex: int) -> int:
+            return sum(is_tight(edge_index) for edge_index, _ in graph.adjacency[vertex])
+
+        eligible = {defect for defect in self.defect_root if self._prematch_eligible(defect)}
+        candidates = {e for d in eligible for e, _ in graph.adjacency[d] if is_tight(e)}
         prematches: dict[int, PreMatch] = {}
-        claimed: set[int] = set()
-
-        def try_regular(edge) -> bool:
-            """Equation 1: an isolated error away from any boundary."""
-            u, v = edge.u, edge.v
-            if not (self._prematch_eligible(u) and self._prematch_eligible(v)):
-                return False
-            if tight_count[u] != 1 or tight_count[v] != 1:
-                return False
-            prematch = PreMatch(defect=u, peer=v, edge=edge.index, peer_is_boundary=False)
-            prematches[u] = prematch
-            prematches[v] = prematch
-            claimed.update((u, v))
-            return True
-
-        def try_boundary(edge) -> bool:
-            """Equations 2/3: an isolated error on the (possibly fusion) boundary."""
-            for defect, boundary in ((edge.u, edge.v), (edge.v, edge.u)):
-                if not self.is_boundary_node(boundary):
-                    continue
-                if not self._prematch_eligible(defect):
-                    continue
-                safe = True
-                for other_index, neighbor in graph.adjacency[defect]:
-                    if other_index == edge.index or not tight[other_index]:
-                        continue
-                    if self.is_boundary_node(neighbor):
-                        continue
-                    if self.is_defect[neighbor] or tight_count[neighbor] > 1:
-                        safe = False
-                        break
-                if not safe:
-                    continue
-                prematch = PreMatch(
-                    defect=defect, peer=boundary, edge=edge.index, peer_is_boundary=True
-                )
-                prematches[defect] = prematch
-                claimed.add(defect)
-                return True
-            return False
-
-        for edge in graph.edges:
-            if not tight[edge.index]:
+        for edge_index in sorted(candidates):
+            u, v = graph.edges[edge_index].u, graph.edges[edge_index].v
+            if u in prematches or v in prematches:
                 continue
-            if edge.u in claimed or edge.v in claimed:
+            if u in eligible and v in eligible and tight_count(u) == tight_count(v) == 1:
+                # Equation 1: an isolated error away from any boundary.
+                prematches[u] = prematches[v] = PreMatch(u, v, edge_index, False)
                 continue
-            if try_regular(edge):
-                continue
-            try_boundary(edge)
+            # Equations 2/3: an isolated error on the (possibly fusion) boundary.
+            for defect, boundary in ((u, v), (v, u)):
+                if defect in eligible and self.is_boundary_node(boundary) and not any(
+                    other != edge_index
+                    and is_tight(other)
+                    and not self.is_boundary_node(neighbor)
+                    and (self.is_defect[neighbor] or tight_count(neighbor) > 1)
+                    for other, neighbor in graph.adjacency[defect]
+                ):
+                    prematches[defect] = PreMatch(defect, boundary, edge_index, True)
+                    break
         if prematches:
             self.counters["prematched_defects"] = max(
                 self.counters.get("prematched_defects", 0),
-                self._prematched_floor + len(claimed),
+                self._prematched_floor + len(prematches),
             )
         return prematches
 
     def prematched_pairs(self) -> list[PreMatch]:
         """Pairs still handled in hardware when decoding finishes (§5.2)."""
-        if not self.enable_prematching:
-            return []
-        self._prematches = self._compute_prematches()
-        unique: dict[int, PreMatch] = {}
-        for prematch in self._prematches.values():
-            unique[prematch.edge] = prematch
+        unique = {p.edge: p for p in self._current_prematches().values()}
         return sorted(unique.values(), key=lambda p: p.edge)
 
     # ------------------------------------------------------------------

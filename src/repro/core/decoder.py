@@ -38,7 +38,7 @@ from ..graphs.syndrome import (
     correction_edges,
     matching_weight,
 )
-from .accelerator import MicroBlossomAccelerator
+from .accelerator import MicroBlossomAccelerator, PreMatch
 from .dual import DEFAULT_DUAL_SCALE
 from .interface import IntegralityError
 from .primal import PrimalModule
@@ -248,17 +248,16 @@ class MicroBlossomDecoder:
             state.last_snapshot, accelerator.counters, primal.counters
         )
         defects = tuple(sorted(d for round_defects in state.rounds for d in round_defects))
-        syndrome = Syndrome(defects=defects)
-        result = self._collect_result(syndrome, accelerator, primal)
+        prematches = accelerator.prematched_pairs()
+        result = self._collect_result(Syndrome(defects=defects), primal, prematches)
         counters = counter_delta(state.baseline, accelerator.counters, primal.counters)
-        prematched = len(accelerator.prematched_pairs())
         outcome = MicroBlossomOutcome(
             result=result,
             defect_count=len(defects),
             counters=counters,
             post_final_round_counters=post_final,
             hardware_report=MicroBlossomAccelerator.hardware_report_from(counters),
-            prematched_pairs=prematched,
+            prematched_pairs=len(prematches),
             stream=True,
             prematching=self.enable_prematching,
         )
@@ -341,28 +340,25 @@ class MicroBlossomDecoder:
         accelerator.load(syndrome.defects)
         primal.run()
         post_final = counter_delta(baseline, accelerator.counters, primal.counters)
-        result = self._collect_result(syndrome, accelerator, primal)
+        prematches = accelerator.prematched_pairs()
+        result = self._collect_result(syndrome, primal, prematches)
         counters = counter_delta(baseline, accelerator.counters, primal.counters)
-        prematched = len(accelerator.prematched_pairs())
         return MicroBlossomOutcome(
             result=result,
             defect_count=syndrome.defect_count,
             counters=counters,
             post_final_round_counters=post_final,
             hardware_report=MicroBlossomAccelerator.hardware_report_from(counters),
-            prematched_pairs=prematched,
+            prematched_pairs=len(prematches),
             stream=False,
             prematching=self.enable_prematching,
         )
 
     def _collect_result(
-        self,
-        syndrome: Syndrome,
-        accelerator: MicroBlossomAccelerator,
-        primal: PrimalModule,
+        self, syndrome: Syndrome, primal: PrimalModule, prematches: list[PreMatch]
     ) -> MatchingResult:
         result = primal.collect_matching()
-        for prematch in accelerator.prematched_pairs():
+        for prematch in prematches:
             if prematch.peer_is_boundary:
                 result.pairs.append((prematch.defect, BOUNDARY))
                 result.boundary_vertices[prematch.defect] = prematch.peer

@@ -10,10 +10,12 @@ which two nodes collided?*
 The paper distributes the Covers over per-vertex state (Residue ``r_v``,
 Touches ``T_v``, Nodes ``N_v``, Table 2) so that one processing unit per vertex
 and per edge can maintain them with local rules (Table 1).  This class keeps
-the same per-vertex state and produces the same responses; for simulation
-efficiency the fix-point of the local update rules is computed with a
-multi-source Dijkstra sweep, which yields the identical state the hardware
-reaches after its Update pipeline stage settles.
+the same per-vertex state and produces the same responses, but evaluates only
+the PUs whose answer can change (see docs/architecture.md, "Simulating the
+PUs"): each Cover root caches its own ball and regrows it only when its
+sources change, and the Conflict and Length-to-Grow rules run only around
+moving (non-HOLD) Covers.  The work counters keep their whole-graph meaning
+and are charged arithmetically.
 
 Dual variables are tracked per *defect vertex* as the accumulated cover radius
 ``R(u) = sum of y over the nodes containing u`` — precisely the quantity each
@@ -34,6 +36,8 @@ import heapq
 from collections import Counter
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from ..graphs.decoding_graph import DecodingGraph
 from .interface import (
     Conflict,
@@ -50,6 +54,14 @@ from .interface import (
 #: half-integral dual updates of the blossom algorithm on integer weights.
 DEFAULT_DUAL_SCALE = 2
 
+#: One vertex's Cover cells ``{root: (residual, touch_vertex)}``.
+Cover = dict[int, tuple[int, int]]
+
+
+def _canonical(cover: Cover) -> list[tuple[int, tuple[int, int]]]:
+    """Cover cells in the order the PUs report them: ``(-residual, root)``."""
+    return sorted(cover.items(), key=lambda item: (-item[1][0], item[0]))
+
 
 class DualGraphState:
     """Cover-based dual phase of the blossom algorithm on a decoding graph.
@@ -65,6 +77,20 @@ class DualGraphState:
         self.graph = graph
         self.scale = scale
         self._edge_weight = [edge.weight * scale for edge in graph.edges]
+        self._virtual = [vertex.is_virtual for vertex in graph.vertices]
+        self._edge_u = np.array([edge.u for edge in graph.edges], dtype=np.intp)
+        self._edge_v = np.array([edge.v for edge in graph.edges], dtype=np.intp)
+        # Every vertex starts as a boundary root of radius 0; its ball only
+        # reaches along zero-weight (erased) edges, so it is fixed per graph.
+        self._boundary_balls = [{v: (0, v)} for v in range(graph.num_vertices)]
+        self._boundary_covers = self._boundary_balls
+        if 0 in self._edge_weight:
+            self._boundary_balls = [self._grow_ball([(v, 0)]) for v in range(graph.num_vertices)]
+            self._boundary_covers = [{} for _ in range(graph.num_vertices)]
+            for root, ball in enumerate(self._boundary_balls):
+                for vertex, cell in ball.items():
+                    self._boundary_covers[vertex][root] = cell
+        self._covered = bytearray(graph.num_vertices)
         self.counters: Counter = Counter()
         self.reset()
 
@@ -79,7 +105,12 @@ class DualGraphState:
         self.defect_radius: dict[int, int] = {}
         self.defect_root: dict[int, int] = {}
         self.node_direction: dict[int, int] = {}
-        self._covers: list[dict[int, tuple[int, int]]] | None = None
+        self._balls: dict[int, Cover] = dict(enumerate(self._boundary_balls))
+        self._covers = [dict(cover) for cover in self._boundary_covers]
+        self._covered[:] = b"\x01" * graph.num_vertices
+        self._cells = sum(map(len, self._boundary_balls))
+        self._dirty: set[int] = set()
+        self._stale = True
         self.counters["instr_reset"] += 1
 
     def load(
@@ -93,34 +124,34 @@ class DualGraphState:
         (round-wise fusion, paper §6.2).
         """
         defects = set(defects)
-        layer_filter = None if layers is None else set(layers)
-        for vertex in range(self.graph.num_vertices):
-            layer = self.graph.vertices[vertex].layer
-            if layer_filter is not None and layer not in layer_filter:
-                continue
-            if self.loaded[vertex]:
-                continue
+        graph = self.graph
+        if layers is None:
+            vertices: Iterable[int] = range(graph.num_vertices)
+        else:
+            vertices = [
+                v for layer in sorted(set(layers)) for v in graph.vertices_in_layer(layer)
+            ]
+        fresh = [vertex for vertex in vertices if not self.loaded[vertex]]
+        for vertex in fresh:
             self.loaded[vertex] = True
-            if vertex in defects:
-                if self.graph.is_virtual(vertex):
-                    raise DualPhaseError(
-                        f"virtual vertex {vertex} cannot be a defect"
-                    )
-                self.is_defect[vertex] = True
-                self.defect_radius[vertex] = 0
-                self.defect_root[vertex] = vertex
-                # A freshly loaded defect is an unmatched singleton node and
-                # starts growing without any CPU involvement.
-                self.node_direction.setdefault(vertex, GROW)
-        loaded_defects = [d for d in defects if self.loaded[d]]
+        # Loaded real vertices stop acting as fusion-boundary roots.
+        self._drop_balls([vertex for vertex in fresh if not self._virtual[vertex]])
+        for vertex in defects.intersection(fresh):
+            if self._virtual[vertex]:
+                raise DualPhaseError(f"virtual vertex {vertex} cannot be a defect")
+            self.is_defect[vertex] = True
+            self.defect_radius[vertex] = 0
+            self.defect_root[vertex] = vertex
+            self._dirty.add(vertex)
+            # A freshly loaded defect is an unmatched singleton node and
+            # starts growing without any CPU involvement.
+            self.node_direction.setdefault(vertex, GROW)
         uncovered = [d for d in defects if not self.loaded[d]]
         if uncovered:
-            raise DualPhaseError(
-                f"defects {uncovered} lie outside the loaded measurement rounds"
-            )
+            raise DualPhaseError(f"defects {uncovered} lie outside the loaded measurement rounds")
         self.counters["instr_load"] += 1
-        self.counters["defects_loaded"] += len(loaded_defects)
-        self._covers = None
+        self.counters["defects_loaded"] += len(defects)
+        self._stale = True
 
     def set_direction(self, node: int, direction: int) -> None:
         """Broadcast a node direction (the ``set direction`` instruction)."""
@@ -140,7 +171,9 @@ class DualGraphState:
                 self.defect_root[defect] = blossom_id
         self.node_direction[blossom_id] = GROW
         self.counters["instr_set_cover"] += len(children)
-        self._covers = None
+        self._dirty.update(children)
+        self._dirty.add(blossom_id)
+        self._stale = True
 
     def expand_blossom(self, blossom_id: int, new_roots: Mapping[int, int]) -> None:
         """Split a blossom Cover back into its children's Covers.
@@ -151,9 +184,7 @@ class DualGraphState:
         """
         for defect, root in new_roots.items():
             if self.defect_root.get(defect) != blossom_id:
-                raise DualPhaseError(
-                    f"defect {defect} is not rooted at blossom {blossom_id}"
-                )
+                raise DualPhaseError(f"defect {defect} is not rooted at blossom {blossom_id}")
             self.defect_root[defect] = root
         remaining = [d for d, r in self.defect_root.items() if r == blossom_id]
         if remaining:
@@ -162,44 +193,43 @@ class DualGraphState:
             )
         self.node_direction.pop(blossom_id, None)
         self.counters["instr_set_cover"] += len(new_roots)
-        self._covers = None
+        self._dirty.update(new_roots.values())
+        self._dirty.add(blossom_id)
+        self._stale = True
 
     def grow(self, length: int) -> None:
         """Grow/shrink every Cover according to its direction (``grow l``)."""
         if length <= 0:
             raise ValueError("grow length must be positive")
-        for defect in self.defect_radius:
-            direction = self._direction_for_growth(self.defect_root[defect])
+        for defect, root in self.defect_root.items():
+            direction = self._direction_for_growth(root)
             if direction == HOLD:
                 continue
             radius = self.defect_radius[defect] + length * direction
             if radius < 0:
-                raise DualPhaseError(
-                    f"cover radius of defect {defect} would become negative"
-                )
+                raise DualPhaseError(f"cover radius of defect {defect} would become negative")
             self.defect_radius[defect] = radius
+            self._dirty.add(root)
         self.counters["instr_grow"] += 1
         self.counters["total_growth"] += length
-        self._covers = None
+        self._stale = True
 
     def find_obstacle(self) -> Obstacle:
         """Report a Conflict, a safe growth length, or completion."""
         self.counters["instr_find_obstacle"] += 1
-        covers = self._ensure_covers()
+        self._ensure_covers()
         directions = self._effective_directions()
-        conflict = self._scan_conflicts(covers, directions)
+        conflict = self._scan_conflicts(directions)
         if conflict is not None:
             self.counters["conflicts_reported"] += 1
             return conflict
         if not self._any_growing(directions):
             return Finished()
-        length = self._max_grow_length(covers, directions)
+        length = self._max_grow_length(directions)
         if length is None:
             raise DualPhaseError("growing nodes exist but growth is unbounded")
         if length <= 0:
-            raise IntegralityError(
-                "dual update requires a step finer than the internal scale"
-            )
+            raise IntegralityError("dual update requires a step finer than the internal scale")
         return GrowLength(length)
 
     # ------------------------------------------------------------------
@@ -242,122 +272,126 @@ class DualGraphState:
     # ------------------------------------------------------------------
     # cover maintenance
     # ------------------------------------------------------------------
-    def _sources(self) -> list[tuple[int, int, int]]:
-        """Return ``(vertex, root_node, radius)`` for every Cover source.
+    def _grow_ball(self, sources: Iterable[tuple[int, int]]) -> Cover:
+        """One root's ball ``{vertex: (residual, touch)}`` from its
+        ``(vertex, radius)`` sources; ties resolve by ``(vertex, touch)``."""
+        adjacency, weight = self.graph.adjacency, self._edge_weight
+        heap = [(-radius, vertex, vertex) for vertex, radius in sources]
+        heapq.heapify(heap)
+        ball: Cover = {}
+        while heap:
+            negative_value, vertex, touch = heapq.heappop(heap)
+            if vertex in ball:
+                continue
+            ball[vertex] = (-negative_value, touch)
+            for edge_index, neighbor in adjacency[vertex]:
+                next_value = -negative_value - weight[edge_index]
+                if next_value >= 0 and neighbor not in ball:
+                    heapq.heappush(heap, (-next_value, neighbor, touch))
+        return ball
 
-        Sources are loaded defects, virtual vertices, and all not-yet-loaded
-        vertices (which act as the fusion boundary, paper §6.2).
-        """
-        sources: list[tuple[int, int, int]] = []
-        for vertex in range(self.graph.num_vertices):
-            if not self.loaded[vertex] or self.graph.is_virtual(vertex):
-                sources.append((vertex, vertex, 0))
-            elif self.is_defect[vertex]:
-                sources.append(
-                    (vertex, self.defect_root[vertex], self.defect_radius[vertex])
-                )
-        return sources
+    def _drop_balls(self, roots: Iterable[int]) -> None:
+        """Remove the cached balls of ``roots`` from the per-vertex state."""
+        balls, covers, covered = self._balls, self._covers, self._covered
+        for root in roots:
+            ball = balls.pop(root, None)
+            if ball:
+                for vertex in ball:
+                    cover = covers[vertex]
+                    del cover[root]
+                    if not cover:
+                        covered[vertex] = 0
+                self._cells -= len(ball)
 
-    def _ensure_covers(self) -> list[dict[int, tuple[int, int]]]:
-        if self._covers is None:
-            self._covers = self._recompute_covers()
-        return self._covers
-
-    def _recompute_covers(self) -> list[dict[int, tuple[int, int]]]:
-        """Per-vertex cover membership: ``{node: (residual, touch_vertex)}``.
+    def _ensure_covers(self) -> list[Cover]:
+        """Settle the per-vertex state ``{node: (residual, touch_vertex)}``.
 
         ``residual`` is how far the node's Cover extends beyond the vertex
         (``>= 0`` iff the vertex lies inside the Cover); ``touch_vertex`` is a
-        defect (or boundary vertex) of the node realising that residual.  This
-        is the full per-vertex state of paper §4.2 (Residue, Touches, Nodes).
+        defect (or boundary vertex) of the node realising that residual: the
+        state of paper §4.2.  Only changed roots are regrown, but the Update
+        stage is charged for every cell, as the hardware settles them all.
         """
-        graph = self.graph
-        covers: list[dict[int, tuple[int, int]]] = [
-            {} for _ in range(graph.num_vertices)
+        if self._stale:
+            if self._dirty:
+                sources: dict[int, list[tuple[int, int]]] = {r: [] for r in self._dirty}
+                for defect, root in self.defect_root.items():
+                    if root in sources:
+                        sources[root].append((defect, self.defect_radius[defect]))
+                self._drop_balls(sources)
+                for root, members in sources.items():
+                    if members:
+                        ball = self._balls[root] = self._grow_ball(members)
+                        for vertex, cell in ball.items():
+                            self._covers[vertex][root] = cell
+                            self._covered[vertex] = 1
+                        self._cells += len(ball)
+                self._dirty.clear()
+            self.counters["cover_cells_updated"] += self._cells
+            self._stale = False
+        return self._covers
+
+    def _moving(self, directions: dict[int, int]) -> list[tuple[int, int, Cover]]:
+        """``(root, direction, ball)`` of every Cover that is not on HOLD."""
+        balls = self._balls
+        return [
+            (root, direction, balls[root])
+            for root, direction in directions.items()
+            if direction and root in balls
         ]
-        heap: list[tuple[int, int, int, int]] = []
-        for vertex, root, radius in self._sources():
-            if radius < 0:
-                raise DualPhaseError("negative cover radius")
-            heap.append((-radius, vertex, root, vertex))
-        heapq.heapify(heap)
-        while heap:
-            negative_value, vertex, root, touch = heapq.heappop(heap)
-            value = -negative_value
-            existing = covers[vertex].get(root)
-            if existing is not None and existing[0] >= value:
-                continue
-            covers[vertex][root] = (value, touch)
-            self.counters["cover_cells_updated"] += 1
-            for edge_index, neighbor in graph.adjacency[vertex]:
-                next_value = value - self._edge_weight[edge_index]
-                if next_value < 0:
-                    continue
-                current = covers[neighbor].get(root)
-                if current is not None and current[0] >= next_value:
-                    continue
-                heapq.heappush(heap, (-next_value, neighbor, root, touch))
-        return covers
+
+    def _covered_edges(self, stop: int) -> int:
+        """Edges below index ``stop`` whose endpoints are both covered."""
+        mask = np.frombuffer(self._covered, dtype=np.bool_)
+        return int(np.count_nonzero(mask[self._edge_u[:stop]] & mask[self._edge_v[:stop]]))
 
     # ------------------------------------------------------------------
     # conflict detection and growth length (Theorems of §4.2)
     # ------------------------------------------------------------------
     def _any_growing(self, directions: dict[int, int]) -> bool:
-        for defect, root in self.defect_root.items():
-            if directions.get(root, HOLD) > 0:
-                return True
-        return False
+        return any(directions.get(root, HOLD) > 0 for root in self.defect_root.values())
 
-    def _scan_conflicts(
-        self,
-        covers: list[dict[int, tuple[int, int]]],
-        directions: dict[int, int],
-    ) -> Conflict | None:
-        """Theorem: Conflict Detection — evaluated on every ePU and vPU."""
-        graph = self.graph
-        # Edge-level detection (ePUs).
-        for edge in graph.edges:
-            cover_u = covers[edge.u]
-            cover_v = covers[edge.v]
-            if not cover_u or not cover_v:
+    def _scan_conflicts(self, directions: dict[int, int]) -> Conflict | None:
+        """Theorem: Conflict Detection — evaluated on every ePU.
+
+        A Conflict needs a growing node, so only edges around growing Covers
+        are evaluated; the first conflicting one in index order is reported,
+        its node pair in canonical cell order.  ``edges_scanned`` is charged
+        what the ePU sweep visits: every edge with both endpoints covered, up
+        to that one.  The vPU rule (two Covers overlapping on a vertex) never
+        fires first: one Cover reached the vertex through an edge that
+        already carries the same Conflict.
+        """
+        covers, weight = self._covers, self._edge_weight
+        adjacency = self.graph.adjacency
+        first = self.graph.num_edges
+        for root, direction, ball in self._moving(directions):
+            if direction < 0:
                 continue
-            weight = self._edge_weight[edge.index]
-            self.counters["edges_scanned"] += 1
-            for node_u, (residual_u, touch_u) in cover_u.items():
-                direction_u = directions.get(node_u, HOLD)
-                for node_v, (residual_v, touch_v) in cover_v.items():
-                    if node_u == node_v:
+            for vertex, (value, _touch) in ball.items():
+                for edge_index, neighbor in adjacency[vertex]:
+                    if edge_index >= first:
                         continue
-                    if direction_u + directions.get(node_v, HOLD) <= 0:
-                        continue
-                    if residual_u + residual_v >= weight:
-                        return self._make_conflict(
-                            node_u, node_v, touch_u, touch_v, edge.u, edge.v
-                        )
-        # Vertex-level detection (vPUs): two Covers overlapping on a vertex.
-        for vertex in range(graph.num_vertices):
-            cover = covers[vertex]
-            if len(cover) < 2:
-                continue
-            items = list(cover.items())
-            for i, (node_a, (residual_a, touch_a)) in enumerate(items):
-                direction_a = directions.get(node_a, HOLD)
-                for node_b, (residual_b, touch_b) in items[i + 1 :]:
-                    if direction_a + directions.get(node_b, HOLD) <= 0:
-                        continue
-                    return self._make_conflict(
-                        node_a, node_b, touch_a, touch_b, vertex, vertex
-                    )
-        return None
+                    reach = weight[edge_index] - value
+                    for node, (residual, _) in covers[neighbor].items():
+                        if node != root and residual >= reach and directions.get(node, HOLD) >= 0:
+                            first = edge_index
+                            break
+        self.counters["edges_scanned"] += self._covered_edges(first + 1)
+        if first == self.graph.num_edges:
+            return None
+        edge = self.graph.edges[first]
+        return next(
+            self._make_conflict(node_u, node_v, touch_u, touch_v, edge.u, edge.v)
+            for node_u, (residual_u, touch_u) in _canonical(covers[edge.u])
+            for node_v, (residual_v, touch_v) in _canonical(covers[edge.v])
+            if node_u != node_v
+            and directions.get(node_u, HOLD) + directions.get(node_v, HOLD) > 0
+            and residual_u + residual_v >= weight[first]
+        )
 
     def _make_conflict(
-        self,
-        node_1: int,
-        node_2: int,
-        touch_1: int,
-        touch_2: int,
-        vertex_1: int,
-        vertex_2: int,
+        self, node_1: int, node_2: int, touch_1: int, touch_2: int, vertex_1: int, vertex_2: int
     ) -> Conflict:
         """Normalise a conflict so that a non-boundary node comes first."""
         if self.is_boundary_node(node_1) and not self.is_boundary_node(node_2):
@@ -366,56 +400,33 @@ class DualGraphState:
             vertex_1, vertex_2 = vertex_2, vertex_1
         return Conflict(node_1, node_2, touch_1, touch_2, vertex_1, vertex_2)
 
-    def _max_grow_length(
-        self,
-        covers: list[dict[int, tuple[int, int]]],
-        directions: dict[int, int],
-    ) -> int | None:
-        """Theorem: Local Length to Grow — evaluated on every vPU and ePU."""
-        graph = self.graph
-        best: int | None = None
+    def _max_grow_length(self, directions: dict[int, int]) -> int | None:
+        """Theorem: Local Length to Grow — evaluated on every vPU and ePU.
 
-        def consider(candidate: int) -> None:
-            nonlocal best
-            if best is None or candidate < best:
-                best = candidate
-
-        for edge in graph.edges:
-            weight = self._edge_weight[edge.index]
-            cover_u = covers[edge.u]
-            cover_v = covers[edge.v]
-            self.counters["edges_scanned"] += 1
-            # Pairs of distinct nodes approaching each other across this edge.
-            for node_u, (residual_u, _touch_u) in cover_u.items():
-                direction_u = directions.get(node_u, HOLD)
-                for node_v, (residual_v, _touch_v) in cover_v.items():
-                    if node_u == node_v:
-                        continue
-                    rate = direction_u + directions.get(node_v, HOLD)
-                    if rate <= 0:
-                        continue
-                    slack = weight - residual_u - residual_v
-                    consider(slack // rate)
-            # A growing Cover must not overshoot a vertex it has not reached
-            # yet: stop exactly when the Cover boundary arrives there, so that
-            # the Update stage can register the new vertex before continuing.
-            for this_end, other_end, cover_here, cover_there in (
-                (edge.u, edge.v, cover_u, cover_v),
-                (edge.v, edge.u, cover_v, cover_u),
-            ):
-                for node, (residual, _touch) in cover_here.items():
-                    direction = directions.get(node, HOLD)
-                    if direction <= 0:
-                        continue
-                    if node in cover_there:
-                        continue
-                    consider((weight - residual) // direction)
-        # Shrinking Covers must not recede past a vertex in one step, so that
-        # Touches/Nodes can be updated consistently (vPU-side term of the
-        # theorem).  Residuals are recomputed from defect radii here, so this
-        # is only needed to keep single steps aligned with the hardware.
-        for vertex in range(graph.num_vertices):
-            for node, (residual, _touch) in covers[vertex].items():
-                if directions.get(node, HOLD) < 0 and residual > 0:
-                    consider(residual)
-        return best
+        Held Covers bound nothing, so only moving Covers are evaluated; the
+        ePU sweep is still charged in full to ``edges_scanned``.
+        """
+        self.counters["edges_scanned"] += self.graph.num_edges
+        covers, weight = self._covers, self._edge_weight
+        adjacency = self.graph.adjacency
+        candidates: list[int] = []
+        for root, direction, ball in self._moving(directions):
+            if direction < 0:
+                # Shrinking Covers must not recede past a vertex in one step,
+                # so that Touches/Nodes can be updated consistently.
+                candidates.extend(value for value, _touch in ball.values() if value > 0)
+                continue
+            for vertex, (value, _touch) in ball.items():
+                for edge_index, neighbor in adjacency[vertex]:
+                    slack = weight[edge_index] - value
+                    cover = covers[neighbor]
+                    # A growing Cover must not overshoot a vertex it has not
+                    # reached yet: stop exactly when its boundary arrives there.
+                    if root not in cover:
+                        candidates.append(slack)
+                    # Pairs of distinct nodes approaching each other.
+                    for node, (residual, _) in cover.items():
+                        rate = 1 + directions.get(node, HOLD)
+                        if node != root and rate > 0:
+                            candidates.append((slack - residual) // rate)
+        return min(candidates, default=None)

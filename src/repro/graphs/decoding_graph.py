@@ -121,6 +121,11 @@ class DecodingGraph:
         self.virtual_vertices: list[int] = [
             v.index for v in self.vertices if v.is_virtual
         ]
+        self._layer_vertices: list[list[int]] = [
+            [] for _ in range(1 + max((v.layer for v in self.vertices), default=0))
+        ]
+        for vertex in self.vertices:
+            self._layer_vertices[vertex.layer].append(vertex.index)
         self._distance_cache: dict[int, tuple[list[int], list[int | None]]] = {}
 
     # ------------------------------------------------------------------
@@ -130,6 +135,8 @@ class DecodingGraph:
         for i, vertex in enumerate(self.vertices):
             if vertex.index != i:
                 raise ValueError("vertex indices must be consecutive and ordered")
+            if vertex.layer < 0:
+                raise ValueError("vertex layers must be non-negative")
         seen: set[tuple[int, int]] = set()
         for i, edge in enumerate(self.edges):
             if edge.index != i:
@@ -280,11 +287,14 @@ class DecodingGraph:
         return crossings % 2 == 1
 
     def vertices_in_layer(self, layer: int) -> list[int]:
-        return [v.index for v in self.vertices if v.layer == layer]
+        """Vertices of one measurement round, in ascending index order."""
+        if not 0 <= layer < len(self._layer_vertices):
+            return []
+        return list(self._layer_vertices[layer])
 
     @property
     def num_layers(self) -> int:
-        return 1 + max((v.layer for v in self.vertices), default=0)
+        return len(self._layer_vertices)
 
     @property
     def noise_model(self):
