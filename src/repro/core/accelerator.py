@@ -80,13 +80,13 @@ class MicroBlossomAccelerator(DualGraphState):
 
     def load(self, defects: Iterable[int], layers: Iterable[int] | None = None) -> None:
         super().load(defects, layers)
-        # One load instruction per layer loaded; syndrome bits stream in
-        # directly from the quantum control stack (paper Figure 5), so they do
-        # not cross the CPU bus.
-        layer_count = 1 if layers is None else len(set(layers))
-        for layer in range(layer_count):
+        # One load instruction per layer loaded (a single one for a batch
+        # load); syndrome bits stream in directly from the quantum control
+        # stack (paper Figure 5), so they do not cross the CPU bus.
+        loaded = (0,) if layers is None else sorted(set(layers))
+        for layer in loaded:
             _ = load_defects_word(layer)
-        self.counters["bus_words"] += layer_count
+        self.counters["bus_words"] += len(loaded)
         self._prematches_dirty = True
 
     def set_direction(self, node: int, direction: int) -> None:
@@ -162,25 +162,27 @@ class MicroBlossomAccelerator(DualGraphState):
         """Equations 1–3 on the tight edges of eligible defects.
 
         Every pre-match has an eligible defect as an endpoint, so only the
-        tight edges incident to one are visited, in ascending index order;
-        tightness is evaluated lazily around them.
+        tight edges incident to one are visited, in ascending index order.
+        An edge is tight when the Residues of its endpoints cover it; tight
+        degrees are counted lazily around the candidates.
         """
-        covers, graph = self._ensure_covers(), self.graph
-        tight: dict[int, bool] = {}
-
-        def is_tight(edge_index: int) -> bool:
-            """The Residues of the two endpoints cover the edge."""
-            if edge_index not in tight:
-                edge = graph.edges[edge_index]
-                residue = sum(max(covers[v].values())[0] for v in (edge.u, edge.v) if covers[v])
-                tight[edge_index] = residue >= self._edge_weight[edge_index]
-            return tight[edge_index]
+        self._ensure_covers()
+        graph, residue, weight = self.graph, self._residue, self._edge_weight
+        adjacency = graph.adjacency
+        tight_counts: dict[int, int] = {}
 
         def tight_count(vertex: int) -> int:
-            return sum(is_tight(edge_index) for edge_index, _ in graph.adjacency[vertex])
+            if vertex not in tight_counts:
+                here = residue[vertex]
+                tight_counts[vertex] = sum(
+                    here + residue[n] >= weight[e] for e, n in adjacency[vertex]
+                )
+            return tight_counts[vertex]
 
         eligible = {defect for defect in self.defect_root if self._prematch_eligible(defect)}
-        candidates = {e for d in eligible for e, _ in graph.adjacency[d] if is_tight(e)}
+        candidates = {
+            e for d in eligible for e, n in adjacency[d] if residue[d] + residue[n] >= weight[e]
+        }
         prematches: dict[int, PreMatch] = {}
         for edge_index in sorted(candidates):
             u, v = graph.edges[edge_index].u, graph.edges[edge_index].v
@@ -194,10 +196,10 @@ class MicroBlossomAccelerator(DualGraphState):
             for defect, boundary in ((u, v), (v, u)):
                 if defect in eligible and self.is_boundary_node(boundary) and not any(
                     other != edge_index
-                    and is_tight(other)
+                    and residue[defect] + residue[neighbor] >= weight[other]
                     and not self.is_boundary_node(neighbor)
                     and (self.is_defect[neighbor] or tight_count(neighbor) > 1)
-                    for other, neighbor in graph.adjacency[defect]
+                    for other, neighbor in adjacency[defect]
                 ):
                     prematches[defect] = PreMatch(defect, boundary, edge_index, True)
                     break

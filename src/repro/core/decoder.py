@@ -16,10 +16,14 @@ final measurement round arrived (which is what determines the decoding
 latency).
 
 The decoder keeps its accelerator model and primal module alive across
-decodes (``reuse_engines=True``, the default): each shot snapshots the
-counters, ``reset()``s both engines and reports per-shot counter deltas, so
-the results and statistics are identical to a freshly-built decoder while the
-per-shot construction cost disappears from the Monte-Carlo hot path.
+decodes (``reuse_engines=True``, the default): each shot takes a baseline
+counter snapshot, ``reset()``s both engines and reports per-shot counter
+deltas, so the results and statistics are identical to a freshly-built
+decoder while the per-shot construction cost disappears from the Monte-Carlo
+hot path.  Further snapshots are taken only where they are read: every
+public ``push_round`` returns its exact cost, while ``decode_detailed`` in
+stream mode snapshots only at the start of the final round, the origin of
+``post_final_round_counters``.
 """
 
 from __future__ import annotations
@@ -47,6 +51,13 @@ from .primal import PrimalModule
 MAX_SCALE_RETRIES = 4
 
 
+def _snapshot(accelerator: MicroBlossomAccelerator, primal: PrimalModule) -> Counter:
+    """Absolute counters of an accelerator/primal pair."""
+    snapshot = Counter(accelerator.counters)
+    snapshot.update(primal.counters)
+    return snapshot
+
+
 @dataclass
 class MicroBlossomOutcome(DecodeOutcomeBase):
     """Full record of one Micro Blossom decoding run."""
@@ -72,10 +83,14 @@ class _StreamState:
     scale: int
     #: Defects of every round pushed so far (replayed on a scale retry).
     rounds: list[tuple[int, ...]] = field(default_factory=list)
-    #: Absolute counter snapshot taken at the start of the latest round —
-    #: the work recorded after it is what remains once the final round
-    #: arrived (paper §8.2).
+    #: Absolute counter snapshot taken at the start of the latest round
+    #: (from round ``snapshot_from`` on) — the work recorded after it is what
+    #: remains once the final round arrived (paper §8.2).
     last_snapshot: Counter = field(default_factory=Counter)
+    #: First round whose start is snapshotted: 0 for the public protocol,
+    #: whose every push reports its cost; the final round when
+    #: ``decode_detailed`` drives the stream and only the outcome is read.
+    snapshot_from: int = 0
     retries: int = 0
     any_defects: bool = False
 
@@ -132,9 +147,10 @@ class MicroBlossomDecoder:
         round-push protocol, one measurement round at a time.
         """
         if self.stream:
-            self.begin(rounds_hint=self.graph.num_layers)
-            for round_defects in syndrome.defects_by_layer(self.graph):
-                self.push_round(round_defects)
+            rounds = syndrome.defects_by_layer(self.graph)
+            state = self._open_stream(snapshot_from=len(rounds) - 1)
+            for round_defects in rounds:
+                self._push(state, round_defects)
             return self.finalize()
         scale = self.scale
         last_error: IntegralityError | None = None
@@ -178,16 +194,20 @@ class MicroBlossomDecoder:
                 f"rounds_hint {rounds_hint} exceeds the graph's "
                 f"{self.graph.num_layers} measurement rounds"
             )
+        state = self._open_stream(snapshot_from=0)
+        state.last_snapshot = _snapshot(state.accelerator, state.primal)
+
+    def _open_stream(self, snapshot_from: int) -> _StreamState:
+        """Acquire reset engines and make them the in-flight stream."""
         accelerator, primal, baseline = self._acquire(self.scale)
-        snapshot = Counter(accelerator.counters)
-        snapshot.update(primal.counters)
         self._stream_state = _StreamState(
             accelerator=accelerator,
             primal=primal,
             baseline=baseline,
             scale=self.scale,
-            last_snapshot=snapshot,
+            snapshot_from=snapshot_from,
         )
+        return self._stream_state
 
     def push_round(self, defects: Iterable[int]) -> Counter:
         """Fuse the next measurement round; return the work it cost.
@@ -203,6 +223,15 @@ class MicroBlossomDecoder:
         state = self._stream_state
         if state is None:
             raise RuntimeError("push_round before begin(); open a stream first")
+        origin = self._push(state, defects)
+        return counter_delta(origin, state.accelerator.counters, state.primal.counters)
+
+    def _push(self, state: _StreamState, defects: Iterable[int]) -> Counter:
+        """Fuse the next round, replaying at a doubled scale when needed.
+
+        Returns the snapshot this push's work is measured from: the start of
+        the round, or the start of the replay after a retry.
+        """
         layer = len(state.rounds)
         if layer >= self.graph.num_layers:
             raise ValueError(
@@ -217,7 +246,8 @@ class MicroBlossomDecoder:
                 )
         state.rounds.append(defects)
         try:
-            return self._stream_step(state, layer, defects)
+            self._stream_step(state, layer, defects)
+            return state.last_snapshot
         except IntegralityError as error:
             last_error = error
         while state.retries < MAX_SCALE_RETRIES:
@@ -265,31 +295,23 @@ class MicroBlossomDecoder:
         self._stream_state = None
         return outcome
 
-    def _stream_step(
-        self, state: _StreamState, layer: int, defects: tuple[int, ...]
-    ) -> Counter:
-        """Fuse one round into the running solution and return its cost."""
+    def _stream_step(self, state: _StreamState, layer: int, defects: tuple[int, ...]) -> None:
+        """Fuse one round into the running solution."""
         accelerator, primal = state.accelerator, state.primal
-        snapshot = Counter(accelerator.counters)
-        snapshot.update(primal.counters)
-        state.last_snapshot = snapshot
-        graph = self.graph
-        accelerator.load(defects, layers={layer})
+        if layer >= state.snapshot_from:
+            state.last_snapshot = _snapshot(accelerator, primal)
+        accelerator.load(defects, layers=(layer,))
         if defects or state.any_defects:
             # Zero-defect fast path: with no defect loaded so far there is no
             # node to re-examine, so an empty round is just a layer load.
             state.any_defects = state.any_defects or bool(defects)
-            newly_real = {
-                v for v in graph.vertices_in_layer(layer) if not graph.is_virtual(v)
-            }
-            primal.break_boundary_matches(newly_real)
+            primal.break_boundary_matches(self.graph.real_vertices_in_layer(layer))
             primal.run()
-        return counter_delta(snapshot, accelerator.counters, primal.counters)
 
     def _stream_replay(self, state: _StreamState) -> Counter:
         """Re-run every pushed round at ``state.scale`` on fresh engines.
 
-        The accumulated delta of the whole replay is returned: the push that
+        Returns the snapshot taken at the start of the replay: the push that
         triggered the retry is charged for all the re-done work, since the
         deltas earlier pushes reported belong to the abandoned engine.
         """
@@ -298,12 +320,10 @@ class MicroBlossomDecoder:
         state.primal = primal
         state.baseline = baseline
         state.any_defects = False
-        state.last_snapshot = Counter(accelerator.counters)
-        state.last_snapshot.update(primal.counters)
-        delta: Counter = Counter()
+        origin = state.last_snapshot = _snapshot(accelerator, primal)
         for layer, defects in enumerate(state.rounds):
-            delta.update(self._stream_step(state, layer, defects))
-        return delta
+            self._stream_step(state, layer, defects)
+        return origin
 
     # ------------------------------------------------------------------
     # internals
@@ -322,8 +342,7 @@ class MicroBlossomDecoder:
             cached = self._engines.get(scale)
             if cached is not None:
                 accelerator, primal = cached
-                baseline = Counter(accelerator.counters)
-                baseline.update(primal.counters)
+                baseline = _snapshot(accelerator, primal)
                 accelerator.reset()
                 primal.reset()
                 return accelerator, primal, baseline

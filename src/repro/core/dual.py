@@ -14,8 +14,11 @@ the same per-vertex state and produces the same responses, but evaluates only
 the PUs whose answer can change (see docs/architecture.md, "Simulating the
 PUs"): each Cover root caches its own ball and regrows it only when its
 sources change, and the Conflict and Length-to-Grow rules run only around
-moving (non-HOLD) Covers.  The work counters keep their whole-graph meaning
-and are charged arithmetically.
+moving (non-HOLD) Covers.  Each vertex's Residue (its largest residual) is
+kept up to date where cells are written or removed.  The fusion boundary is
+implicit: every vertex owns a fixed boundary ball, and one flag per boundary
+root says whether it is live (virtual, or in a round not loaded yet).  The
+work counters keep their whole-graph meaning and are charged arithmetically.
 
 Dual variables are tracked per *defect vertex* as the accumulated cover radius
 ``R(u) = sum of y over the nodes containing u`` — precisely the quantity each
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
+from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -58,9 +62,9 @@ DEFAULT_DUAL_SCALE = 2
 Cover = dict[int, tuple[int, int]]
 
 
-def _canonical(cover: Cover) -> list[tuple[int, tuple[int, int]]]:
+def _canonical(cells: list[tuple[int, tuple[int, int]]]) -> list[tuple[int, tuple[int, int]]]:
     """Cover cells in the order the PUs report them: ``(-residual, root)``."""
-    return sorted(cover.items(), key=lambda item: (-item[1][0], item[0]))
+    return sorted(cells, key=lambda item: (-item[1][0], item[0]))
 
 
 class DualGraphState:
@@ -80,17 +84,41 @@ class DualGraphState:
         self._virtual = [vertex.is_virtual for vertex in graph.vertices]
         self._edge_u = np.array([edge.u for edge in graph.edges], dtype=np.intp)
         self._edge_v = np.array([edge.v for edge in graph.edges], dtype=np.intp)
-        # Every vertex starts as a boundary root of radius 0; its ball only
-        # reaches along zero-weight (erased) edges, so it is fixed per graph.
-        self._boundary_balls = [{v: (0, v)} for v in range(graph.num_vertices)]
-        self._boundary_covers = self._boundary_balls
+        n = graph.num_vertices
+        # Every vertex is a boundary root of radius 0 until its round is
+        # loaded (virtual vertices for ever).  Its ball only reaches along
+        # zero-weight (erased) edges, so the balls are a fixed per-graph
+        # template, stored per vertex, and every boundary cell has residual 0;
+        # ``_boundary_live`` marks the live roots.
         if 0 in self._edge_weight:
-            self._boundary_balls = [self._grow_ball([(v, 0)]) for v in range(graph.num_vertices)]
-            self._boundary_covers = [{} for _ in range(graph.num_vertices)]
-            for root, ball in enumerate(self._boundary_balls):
+            balls = [self._grow_ball([(v, 0)]) for v in range(n)]
+            self._boundary_covers: list[Cover] = [{} for _ in range(n)]
+            for root, ball in enumerate(balls):
                 for vertex, cell in ball.items():
                     self._boundary_covers[vertex][root] = cell
-        self._covered = bytearray(graph.num_vertices)
+        else:
+            # Each ball is its root's own cell, so balls and per-vertex view coincide.
+            balls = self._boundary_covers = [{v: (0, v)} for v in range(n)]
+        sizes = np.fromiter(map(len, balls), np.intp, n)
+        self._template_root = np.repeat(np.arange(n, dtype=np.intp), sizes)
+        self._template_vertex = np.fromiter(
+            chain.from_iterable(balls), np.intp, len(self._template_root)
+        )
+        layers = range(graph.num_layers)
+        self._layer_vertices = [np.array(graph.vertices_in_layer(i), np.intp) for i in layers]
+        self._layer_real = [np.fromiter(graph.real_vertices_in_layer(i), np.intp) for i in layers]
+        self._layer_boundary_cells = [int(sizes[real].sum()) for real in self._layer_real]
+        self._boundary_live = bytearray(n)
+        self._live_view = np.frombuffer(self._boundary_live, dtype=np.bool_)
+        self.loaded = bytearray(n)
+        self._loaded_view = np.frombuffer(self.loaded, dtype=np.bool_)
+        # Cover-root (defect and blossom) state; boundary cells are implicit.
+        self._balls: dict[int, Cover] = {}
+        self._covers: list[Cover] = [{} for _ in range(n)]
+        self._covered = bytearray(n)
+        self._covered_view = np.frombuffer(self._covered, dtype=np.bool_)
+        self._residue = [0] * n
+        self._cells = 0
         self.counters: Counter = Counter()
         self.reset()
 
@@ -99,16 +127,16 @@ class DualGraphState:
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Clear all PU state (the ``reset`` instruction)."""
-        graph = self.graph
-        self.loaded = [False] * graph.num_vertices
-        self.is_defect = [False] * graph.num_vertices
+        self._drop_balls(list(self._balls))
+        self._loaded_view[:] = False
+        self._layer_loaded = bytearray(self.graph.num_layers)
+        self._live_view[:] = True
+        self._boundary_cells = len(self._template_root)
+        self._boundary_mask: np.ndarray | None = None
+        self.is_defect = [False] * self.graph.num_vertices
         self.defect_radius: dict[int, int] = {}
         self.defect_root: dict[int, int] = {}
         self.node_direction: dict[int, int] = {}
-        self._balls: dict[int, Cover] = dict(enumerate(self._boundary_balls))
-        self._covers = [dict(cover) for cover in self._boundary_covers]
-        self._covered[:] = b"\x01" * graph.num_vertices
-        self._cells = sum(map(len, self._boundary_balls))
         self._dirty: set[int] = set()
         self._stale = True
         self.counters["instr_reset"] += 1
@@ -125,18 +153,21 @@ class DualGraphState:
         """
         defects = set(defects)
         graph = self.graph
-        if layers is None:
-            vertices: Iterable[int] = range(graph.num_vertices)
-        else:
-            vertices = [
-                v for layer in sorted(set(layers)) for v in graph.vertices_in_layer(layer)
-            ]
-        fresh = [vertex for vertex in vertices if not self.loaded[vertex]]
-        for vertex in fresh:
-            self.loaded[vertex] = True
-        # Loaded real vertices stop acting as fusion-boundary roots.
-        self._drop_balls([vertex for vertex in fresh if not self._virtual[vertex]])
-        for vertex in defects.intersection(fresh):
+        fresh = {
+            layer
+            for layer in (range(graph.num_layers) if layers is None else set(layers))
+            if 0 <= layer < graph.num_layers and not self._layer_loaded[layer]
+        }
+        for layer in fresh:
+            self._layer_loaded[layer] = 1
+            self._loaded_view[self._layer_vertices[layer]] = True
+            # Loaded real vertices stop acting as fusion-boundary roots.
+            self._live_view[self._layer_real[layer]] = False
+            self._boundary_cells -= self._layer_boundary_cells[layer]
+            self._boundary_mask = None
+        for vertex in defects:
+            if graph.vertices[vertex].layer not in fresh:
+                continue
             if self._virtual[vertex]:
                 raise DualPhaseError(f"virtual vertex {vertex} cannot be a defect")
             self.is_defect[vertex] = True
@@ -237,9 +268,7 @@ class DualGraphState:
     # ------------------------------------------------------------------
     def is_boundary_node(self, node: int) -> bool:
         """True if ``node`` is a boundary pseudo-node (virtual or unloaded)."""
-        if node >= self.graph.num_vertices:
-            return False
-        return self.graph.is_virtual(node) or not self.loaded[node]
+        return node < self.graph.num_vertices and bool(self._boundary_live[node])
 
     def direction_of(self, node: int) -> int:
         return self.node_direction.get(node, HOLD)
@@ -291,26 +320,36 @@ class DualGraphState:
         return ball
 
     def _drop_balls(self, roots: Iterable[int]) -> None:
-        """Remove the cached balls of ``roots`` from the per-vertex state."""
-        balls, covers, covered = self._balls, self._covers, self._covered
+        """Remove the cached balls of Cover ``roots`` from the per-vertex state."""
+        balls, covers, covered, residue = self._balls, self._covers, self._covered, self._residue
         for root in roots:
             ball = balls.pop(root, None)
             if ball:
-                for vertex in ball:
+                for vertex, (value, _touch) in ball.items():
                     cover = covers[vertex]
                     del cover[root]
                     if not cover:
                         covered[vertex] = 0
+                        residue[vertex] = 0
+                    elif value == residue[vertex]:
+                        residue[vertex] = max(residual for residual, _ in cover.values())
                 self._cells -= len(ball)
 
-    def _ensure_covers(self) -> list[Cover]:
+    def _boundary_cells_at(self, vertex: int) -> list[tuple[int, tuple[int, int]]]:
+        """The live boundary cells ``(root, (residual, touch))`` at ``vertex``."""
+        live = self._boundary_live
+        return [item for item in self._boundary_covers[vertex].items() if live[item[0]]]
+
+    def _ensure_covers(self) -> None:
         """Settle the per-vertex state ``{node: (residual, touch_vertex)}``.
 
         ``residual`` is how far the node's Cover extends beyond the vertex
         (``>= 0`` iff the vertex lies inside the Cover); ``touch_vertex`` is a
         defect (or boundary vertex) of the node realising that residual: the
-        state of paper §4.2.  Only changed roots are regrown, but the Update
-        stage is charged for every cell, as the hardware settles them all.
+        state of paper §4.2.  ``_covers`` holds the Cover-root cells, the live
+        boundary cells are implicit.  Only changed roots are regrown, but the
+        Update stage is charged for every cell, as the hardware settles them
+        all.
         """
         if self._stale:
             if self._dirty:
@@ -319,17 +358,19 @@ class DualGraphState:
                     if root in sources:
                         sources[root].append((defect, self.defect_radius[defect]))
                 self._drop_balls(sources)
+                covers, covered, residue = self._covers, self._covered, self._residue
                 for root, members in sources.items():
                     if members:
                         ball = self._balls[root] = self._grow_ball(members)
                         for vertex, cell in ball.items():
-                            self._covers[vertex][root] = cell
-                            self._covered[vertex] = 1
+                            covers[vertex][root] = cell
+                            covered[vertex] = 1
+                            if cell[0] > residue[vertex]:
+                                residue[vertex] = cell[0]
                         self._cells += len(ball)
                 self._dirty.clear()
-            self.counters["cover_cells_updated"] += self._cells
+            self.counters["cover_cells_updated"] += self._cells + self._boundary_cells
             self._stale = False
-        return self._covers
 
     def _moving(self, directions: dict[int, int]) -> list[tuple[int, int, Cover]]:
         """``(root, direction, ball)`` of every Cover that is not on HOLD."""
@@ -342,7 +383,11 @@ class DualGraphState:
 
     def _covered_edges(self, stop: int) -> int:
         """Edges below index ``stop`` whose endpoints are both covered."""
-        mask = np.frombuffer(self._covered, dtype=np.bool_)
+        if self._boundary_mask is None:
+            # The vertices holding a cell of a live boundary root.
+            self._boundary_mask = np.zeros(self.graph.num_vertices, dtype=np.bool_)
+            self._boundary_mask[self._template_vertex[self._live_view[self._template_root]]] = True
+        mask = self._covered_view | self._boundary_mask
         return int(np.count_nonzero(mask[self._edge_u[:stop]] & mask[self._edge_v[:stop]]))
 
     # ------------------------------------------------------------------
@@ -362,8 +407,8 @@ class DualGraphState:
         fires first: one Cover reached the vertex through an edge that
         already carries the same Conflict.
         """
-        covers, weight = self._covers, self._edge_weight
-        adjacency = self.graph.adjacency
+        covers, boundary, live = self._covers, self._boundary_covers, self._boundary_live
+        weight, adjacency = self._edge_weight, self.graph.adjacency
         first = self.graph.num_edges
         for root, direction, ball in self._moving(directions):
             if direction < 0:
@@ -377,14 +422,23 @@ class DualGraphState:
                         if node != root and residual >= reach and directions.get(node, HOLD) >= 0:
                             first = edge_index
                             break
+                    else:
+                        if reach > 0:  # boundary cells have residual 0
+                            continue
+                        for node, (residual, _) in boundary[neighbor].items():
+                            if residual >= reach and live[node] and directions.get(node, HOLD) >= 0:
+                                first = edge_index
+                                break
         self.counters["edges_scanned"] += self._covered_edges(first + 1)
         if first == self.graph.num_edges:
             return None
         edge = self.graph.edges[first]
+        cells_u = [*covers[edge.u].items(), *self._boundary_cells_at(edge.u)]
+        cells_v = [*covers[edge.v].items(), *self._boundary_cells_at(edge.v)]
         return next(
             self._make_conflict(node_u, node_v, touch_u, touch_v, edge.u, edge.v)
-            for node_u, (residual_u, touch_u) in _canonical(covers[edge.u])
-            for node_v, (residual_v, touch_v) in _canonical(covers[edge.v])
+            for node_u, (residual_u, touch_u) in _canonical(cells_u)
+            for node_v, (residual_v, touch_v) in _canonical(cells_v)
             if node_u != node_v
             and directions.get(node_u, HOLD) + directions.get(node_v, HOLD) > 0
             and residual_u + residual_v >= weight[first]
@@ -404,11 +458,14 @@ class DualGraphState:
         """Theorem: Local Length to Grow — evaluated on every vPU and ePU.
 
         Held Covers bound nothing, so only moving Covers are evaluated; the
-        ePU sweep is still charged in full to ``edges_scanned``.
+        ePU sweep is still charged in full to ``edges_scanned``.  A live
+        boundary cell (residual 0, HOLD) next to a growing Cover bounds it by
+        the edge's slack, the same term as a vertex the Cover has not reached;
+        a boundary vertex it has reached is a Conflict, reported before this
+        rule runs.  So only Cover-root cells are visited.
         """
         self.counters["edges_scanned"] += self.graph.num_edges
-        covers, weight = self._covers, self._edge_weight
-        adjacency = self.graph.adjacency
+        covers, weight, adjacency = self._covers, self._edge_weight, self.graph.adjacency
         candidates: list[int] = []
         for root, direction, ball in self._moving(directions):
             if direction < 0:

@@ -126,6 +126,10 @@ class DecodingGraph:
         ]
         for vertex in self.vertices:
             self._layer_vertices[vertex.layer].append(vertex.index)
+        self._layer_real_vertices: list[frozenset[int]] = [
+            frozenset(v for v in layer if not self.vertices[v].is_virtual)
+            for layer in self._layer_vertices
+        ]
         self._distance_cache: dict[int, tuple[list[int], list[int | None]]] = {}
 
     # ------------------------------------------------------------------
@@ -291,6 +295,12 @@ class DecodingGraph:
         if not 0 <= layer < len(self._layer_vertices):
             return []
         return list(self._layer_vertices[layer])
+
+    def real_vertices_in_layer(self, layer: int) -> frozenset[int]:
+        """The non-virtual vertices of one measurement round."""
+        if not 0 <= layer < len(self._layer_real_vertices):
+            return frozenset()
+        return self._layer_real_vertices[layer]
 
     @property
     def num_layers(self) -> int:

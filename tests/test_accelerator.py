@@ -4,14 +4,22 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.accelerator as accelerator_module
 from repro.core import (
     Conflict,
     Finished,
     GrowLength,
     MicroBlossomAccelerator,
+    MicroBlossomDecoder,
     PrimalModule,
 )
-from repro.graphs import GraphBuilder
+from repro.core.instructions import Opcode, decode_instruction
+from repro.graphs import (
+    GraphBuilder,
+    SyndromeSampler,
+    circuit_level_noise,
+    surface_code_decoding_graph,
+)
 
 
 def run_until_finished(accelerator, primal):
@@ -151,3 +159,30 @@ class TestBusAccounting:
         accelerator.create_blossom([1, 2, 3], blossom)
         accelerator.expand_blossom(blossom, {1: 1, 2: 2, 3: 3})
         assert accelerator.counters["bus_words"] == before + 6
+
+    def test_load_words_encode_the_loaded_layer_ids(self, monkeypatch):
+        """A streamed decode issues one load word per round, carrying the
+        round's layer id; a batch load issues a single word."""
+        graph = surface_code_decoding_graph(3, circuit_level_noise(0.02))
+        syndrome = next(s for s in SyndromeSampler(graph, seed=2).sample_batch(32) if s.defects)
+        words = []
+        original = accelerator_module.load_defects_word
+
+        def record(layer):
+            words.append(original(layer))
+            return words[-1]
+
+        monkeypatch.setattr(accelerator_module, "load_defects_word", record)
+        streamed = MicroBlossomDecoder(graph, stream=True).decode_detailed(syndrome)
+        instructions = [decode_instruction(word) for word in words]
+        assert {instruction.opcode for instruction in instructions} == {Opcode.LOAD_DEFECTS}
+        assert [instruction.payload for instruction in instructions] == list(
+            range(graph.num_layers)
+        )
+        assert graph.num_layers > 1
+        words.clear()
+        batch = MicroBlossomDecoder(graph).decode_detailed(syndrome)
+        assert [decode_instruction(word).payload for word in words] == [0]
+        # one bus word per load instruction, as before
+        assert streamed.counters["instr_load"] == graph.num_layers
+        assert batch.counters["instr_load"] == 1

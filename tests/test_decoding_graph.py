@@ -162,6 +162,16 @@ class TestObservableAndLayers:
         assert layer0
         assert all(surface_d3_circuit.vertices[v].layer == 0 for v in layer0)
 
+    def test_real_vertices_in_layer_matches_the_virtual_filter(self, surface_d3_circuit):
+        graph = surface_d3_circuit
+        assert graph.virtual_vertices
+        for layer in range(-1, graph.num_layers + 1):
+            real = graph.real_vertices_in_layer(layer)
+            assert isinstance(real, frozenset)
+            assert real == {v for v in graph.vertices_in_layer(layer) if not graph.is_virtual(v)}
+            # built once per graph, not per call
+            assert graph.real_vertices_in_layer(layer) is real or not real
+
     def test_num_layers(self, surface_d3_circuit):
         assert surface_d3_circuit.num_layers == 3
 

@@ -247,6 +247,47 @@ class TestNativeStreaming:
         assert outcome.correction_edges(graph) == batch_outcome.correction_edges(graph)
         assert outcome.result.weight == batch_outcome.result.weight
 
+    @pytest.mark.parametrize("where", ["middle", "final"])
+    def test_scale_retry_without_round_snapshots_matches_the_protocol(
+        self, graph, monkeypatch, where
+    ):
+        """decode_detailed(stream=True) snapshots the counters only at the
+        final round; a retry forced at a middle or at the final round must
+        still report what the public begin/push_round/finalize protocol
+        reports."""
+        from repro.core import DEFAULT_DUAL_SCALE, MicroBlossomDecoder
+        from repro.core.interface import IntegralityError
+
+        sampler = SyndromeSampler(graph, seed=4)
+        syndrome = next(s for s in sampler.sample_batch(64) if s.defect_count >= 2)
+        rounds = syndrome.defects_by_layer(graph)
+        assert len(rounds) >= 3
+        failing_round = len(rounds) // 2 if where == "middle" else len(rounds) - 1
+        # The retry replays the stream on a fresh engine at the doubled scale.
+        doubled = MicroBlossomDecoder(graph, stream=True, scale=2 * DEFAULT_DUAL_SCALE)
+        replayed = doubled.decode_detailed(syndrome)
+
+        original = MicroBlossomDecoder._stream_step
+
+        def flaky(self, state, layer, defects):
+            if layer == failing_round and state.retries == 0:
+                raise IntegralityError("forced retry")
+            return original(self, state, layer, defects)
+
+        monkeypatch.setattr(MicroBlossomDecoder, "_stream_step", flaky)
+        session = get_streaming_decoder("micro-blossom", graph)
+        expected, _ = stream_once(session, graph, syndrome)
+        outcome = MicroBlossomDecoder(graph, stream=True).decode_detailed(syndrome)
+        assert outcome.scale_retries == expected.scale_retries == 1
+        assert sorted(outcome.result.pairs) == sorted(expected.result.pairs)
+        assert outcome.result.weight == expected.result.weight
+        assert outcome.counters == expected.counters == replayed.counters
+        assert (
+            outcome.post_final_round_counters
+            == expected.post_final_round_counters
+            == replayed.post_final_round_counters
+        )
+
     def test_early_finalize_treats_missing_rounds_as_boundary(self, graph):
         """A stream closed before all rounds arrive still decodes validly."""
         sampler = SyndromeSampler(graph, seed=8)
